@@ -11,7 +11,11 @@ document so the performance trajectory accumulates across PRs:
 * ``lms`` — a full Algorithm 1 skew estimation through the reference cost
   vs the batched plan-backed estimator;
 * ``full_bist`` — ``TransmitterBist.run`` with the plan layer vs the same
-  engine with every plan evaluation routed through the reference path.
+  engine with every plan evaluation routed through the reference path;
+* ``dense_render`` — plan build plus one evaluation over the paper-default
+  dense measurement grids (the 15,790-point Welch grid and the 16,319-point
+  EVM envelope grid) vs the reference path, with each grid's number of
+  distinct sample phases (the rows of the polyphase kernel tables).
 
 Every comparison also records the worst relative deviation between the two
 paths; the script exits non-zero if it exceeds ``--tolerance`` (1e-9).
@@ -36,7 +40,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.bist import BistConfig, TransmitterBist
+from repro.bist import BistConfig, TransmitterBist, default_converter
+from repro.bist.measurements import uniform_render_grid
 from repro.calibration import LmsSkewEstimator, SkewCostFunction
 from repro.sampling import BandpassBand, IdealNonuniformSampler, reference_evaluate
 from repro.sampling.reconstruction import ReconstructionPlan
@@ -272,6 +277,56 @@ def bench_full_bist(smoke: bool, repeats: int) -> dict:
     }
 
 
+def paper_dense_grids():
+    """The paper-default calibrated acquisition and its two dense render grids.
+
+    The Welch grid is the engine's measurement grid; the EVM grid is the
+    single-carrier envelope render of ``measurements.reconstructed_envelope``
+    (``4 f_high`` snapped up to a multiple of the envelope rate).
+    """
+    config = BistConfig()
+    engine = TransmitterBist(
+        HomodyneTransmitter(TransmitterConfig.paper_default(seed=2014)),
+        default_converter(config.acquisition_bandwidth_hz),
+        config=config,
+    )
+    stage = engine.prepare()
+    reconstructor = stage.reconstructor
+    welch, _ = engine.dense_measurement_grid(stage)
+    envelope_rate = stage.burst.config.envelope_sample_rate
+    dense_rate = np.ceil(4.0 * reconstructor.kernel.band.f_high / envelope_rate) * envelope_rate
+    low, high = reconstructor.valid_time_range()
+    evm, _ = uniform_render_grid(reconstructor, low, high, sample_rate=dense_rate)
+    return stage, {"welch": welch, "evm": evm}
+
+
+def bench_dense_render(repeats: int) -> dict:
+    stage, grids = paper_dense_grids()
+    samples = stage.fast_set
+    num_taps = stage.reconstructor.num_taps
+    delay = stage.estimate
+    results = {}
+    for name, times in grids.items():
+        def build(times=times):
+            return ReconstructionPlan(samples, times, num_taps=num_taps)
+
+        plan = build()
+        reference = reference_evaluate(samples, times, delay, num_taps=num_taps)
+        plan_s = best_of(lambda: build().evaluate(delay), repeats)
+        reference_s = best_of(
+            lambda: reference_evaluate(samples, times, delay, num_taps=num_taps), repeats
+        )
+        results[name] = {
+            "num_times": int(times.size),
+            "num_phases": plan.structure.num_phases,
+            "plan_build_and_evaluate_s": plan_s,
+            "reference_s": reference_s,
+            "speedup": reference_s / plan_s,
+            "max_rel_deviation": relative_deviation(plan.evaluate(delay), reference),
+        }
+    return results
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="small sizes / few repeats for CI")
@@ -301,6 +356,7 @@ def main(argv=None) -> int:
         "sweep": bench_sweep(fast_set, slow_set, cost_points, num_candidates, repeats),
         "lms": bench_lms(fast_set, slow_set, cost_points, repeats),
         "full_bist": bench_full_bist(args.smoke, max(1, repeats - 1)),
+        "dense_render": bench_dense_render(repeats),
     }
 
     print(f"single eval : reference {results['single_eval']['reference_s'] * 1e3:8.2f} ms  "
@@ -317,6 +373,11 @@ def main(argv=None) -> int:
     print(f"full bist   : reference {results['full_bist']['reference_s'] * 1e3:8.2f} ms  "
           f"plan {results['full_bist']['plan_s'] * 1e3:8.2f} ms  "
           f"({results['full_bist']['speedup']:.1f}x)")
+    for name, tier in results["dense_render"].items():
+        print(f"dense {name:<6}: reference {tier['reference_s'] * 1e3:8.2f} ms  "
+              f"plan {tier['plan_build_and_evaluate_s'] * 1e3:8.2f} ms  "
+              f"({tier['speedup']:.1f}x, {tier['num_times']} points, "
+              f"{tier['num_phases']} phases, dev {tier['max_rel_deviation']:.1e})")
 
     with open(args.output, "w") as handle:
         json.dump(results, handle, indent=2)
@@ -325,6 +386,7 @@ def main(argv=None) -> int:
     deviation = max(
         results["single_eval"]["max_rel_deviation"],
         results["sweep"]["max_rel_deviation_cost"],
+        *(tier["max_rel_deviation"] for tier in results["dense_render"].values()),
     )
     if deviation > args.tolerance:
         print(

@@ -428,7 +428,9 @@ class CapturedSamplesSource(AcquisitionSource):
 
     Each :meth:`acquire` consumes the next record; the request must match
     what was recorded (rate, sample count, start time), which catches any
-    configuration drift between the recording run and the replay run.
+    configuration drift between the recording run and the replay run, and
+    every sample must be finite — a NaN or inf in a capture is reported as
+    such instead of surfacing later as a calibration failure.
     Clones from :meth:`with_sample_rate` share the replay cursor, mirroring
     how the engine re-rates the converter for the slow acquisition.
     """
@@ -481,6 +483,14 @@ class CapturedSamplesSource(AcquisitionSource):
                 f"replay mismatch at acquisition #{index}: recorded start time "
                 f"{record.start_time}, requested {float(start_time)}"
             )
+        for channel in ("on_grid", "delayed"):
+            samples = np.asarray(getattr(record, channel))
+            bad = np.flatnonzero(~np.isfinite(samples))
+            if bad.size:
+                raise ConfigurationError(
+                    f"non-finite capture at acquisition #{index}: {channel} sample "
+                    f"{int(bad[0])} is {samples[bad[0]]} ({bad.size} non-finite in the channel)"
+                )
         self._cursor[0] = index + 1
         return record.to_sample_set()
 

@@ -22,8 +22,8 @@ up:
    with one shared
    :class:`~repro.sampling.reconstruction.PlanStructureCache` (the LMS cost
    plans and dense-grid structures are built once per group instead of once
-   per scenario), the dense measurement renders are evaluated as stacked
-   kernels via :func:`~repro.sampling.reconstruction.evaluate_stacked`, and
+   per scenario), the dense measurement renders are evaluated together via
+   :func:`~repro.sampling.reconstruction.evaluate_stacked`, and
    each scenario's :meth:`~repro.bist.engine.TransmitterBist.finish` half
    turns its row into an ordinary :class:`~repro.bist.runner.ScenarioOutcome`.
 
@@ -57,12 +57,11 @@ from .runner import ScenarioOutcome, _ScenarioTask
 
 __all__ = ["CampaignCompiler", "CompilerStats", "GROUP_CHUNK_SCENARIOS"]
 
-#: Scenarios whose dense renders are stacked per kernel launch.  A dense
-#: single-carrier grid is ~12k times x 61 taps; each prepared scenario in a
-#: chunk pins a throwaway plan (~16 MB of weighted arrays) plus the stacked
-#: broadcast temporaries, so four rows keep the peak under ~200 MB while the
-#: shared structure amortises across the whole group regardless of the
-#: chunking.
+#: Scenarios whose dense renders are stacked per chunk.  A dense
+#: single-carrier grid is ~16k times x 61 taps; each prepared scenario in a
+#: chunk pins a throwaway plan (~8 MB of tapered delayed-sample windows), so
+#: four rows keep the peak bounded while the shared structure amortises
+#: across the whole group regardless of the chunking.
 GROUP_CHUNK_SCENARIOS = 4
 
 

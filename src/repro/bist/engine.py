@@ -146,11 +146,14 @@ class BistStage:
     :meth:`TransmitterBist.prepare` runs everything up to and including the
     skew calibration and reconstructor construction; :meth:`TransmitterBist.finish`
     performs the measurement and evaluation.  The split exists for the
-    campaign compiler: the dense measurement render — the dominant remaining
-    cost once plan structures are shared — can then be computed *across*
-    scenarios as one stacked kernel and handed back in through ``finish``'s
-    ``dense_render`` argument.  ``TransmitterBist.run`` is exactly
-    ``finish(prepare(burst))``.
+    campaign compiler: the dense measurement render can then be computed
+    *across* scenarios (:func:`~repro.sampling.evaluate_stacked`) and handed
+    back in through ``finish``'s ``dense_render`` argument.  The render's
+    plan is polyphase — one kernel-table row per distinct sample phase of
+    the dense grid (419 rows for the paper's 15,790-point grid) plus one
+    ``nw + 1`` dot product per grid point — so it costs ~10 ms at the
+    paper's operating point, well below the LMS calibration in ``prepare``.
+    ``TransmitterBist.run`` is exactly ``finish(prepare(burst))``.
     """
 
     burst: TransmissionResult

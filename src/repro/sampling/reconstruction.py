@@ -14,23 +14,30 @@ taps and a Kaiser window).  This module provides:
   sensitivity analysis); the impaired hardware model lives in
   :mod:`repro.adc.tiadc`;
 * :class:`ReconstructionPlan` — the precompiled evaluator of Eq. (6): for a
-  fixed ``(sample_set, evaluation_times, num_taps, window)`` it computes the
-  tap index matrix, validity mask, gathered sample pairs, taper and the
-  delay-independent kernel trigonometry **once**, then evaluates the
-  reconstruction for any assumed delay ``D_hat`` — including a batched
-  :meth:`ReconstructionPlan.evaluate_many` that adds a leading delay axis and
-  amortises the kernel evaluation across candidate delays (the inner loop of
-  the Section IV skew calibration);
+  fixed ``(sample_set, evaluation_times, num_taps, window)`` it gathers the
+  sample pairs once and evaluates the reconstruction for any assumed delay
+  ``D_hat`` — including a batched :meth:`ReconstructionPlan.evaluate_many`
+  that adds a leading delay axis (the inner loop of the Section IV skew
+  calibration);
+* a *polyphase* plan structure: the taper and the kernel trigonometry of
+  Eq. (6) depend on an evaluation instant only through its offset from the
+  nearest on-grid sample (its *sample phase*).  A dense uniform render at a
+  rate commensurate with ``B`` visits few distinct phases (419 for the
+  15,790-point paper Welch grid, 49 for the 16,319-point EVM envelope grid),
+  so the kernel is tabulated once per phase on a ``P x (nw + 1)`` table and
+  every grid point keeps only its slot in a phase-blocked layout.  A grid of
+  unrelated instants (the LMS cost points) has ``P = N``: every row is its
+  own phase and the arithmetic is the per-row arithmetic of the direct
+  evaluator;
 * :class:`PlanStructureCache` — shares the *sample-independent* half of a
-  plan (tap geometry, taper, kernel trigonometry — the expensive part)
-  between plans whose acquisition geometry and evaluation grid coincide.
-  Fingerprint-adjacent campaign scenarios (a severity sweep of one fault
-  family) differ only in sample values, so the campaign compiler builds the
-  structure once per group instead of once per scenario;
+  plan (phase tables, taper, kernel trigonometry) between plans whose
+  acquisition geometry and evaluation grid coincide.  Fingerprint-adjacent
+  campaign scenarios (a severity sweep of one fault family) differ only in
+  sample values, so the campaign compiler builds the structure once per
+  group instead of once per scenario;
 * :func:`evaluate_stacked` — the cross-*scenario* analogue of
-  :meth:`~ReconstructionPlan.evaluate_many`: plans sharing one structure
-  evaluate as a single stacked kernel over a leading scenario axis,
-  bit-identical with evaluating each plan on its own;
+  :meth:`~ReconstructionPlan.evaluate_many`: one delay per plan, each row
+  bit-identical with evaluating that plan on its own;
 * :class:`NonuniformReconstructor` — a thin façade over
   :class:`ReconstructionPlan` keeping the original arbitrary-times API: it
   binds one assumed delay ``D_hat`` and builds (and caches) plans for the
@@ -43,10 +50,9 @@ taps and a Kaiser window).  This module provides:
 
 The per-delay broadcast math runs through the pluggable array backend of
 :mod:`repro.backend` (``xp`` namespace): structures are precomputed on host
-NumPy (Bessel/trig tables, built once per group), the hot multiply-adds and
-einsums then execute on whichever backend was active when the plan was
-built.  Under the default NumPy backend every code path is bit-identical
-with the pre-seam implementation.
+NumPy (Bessel/trig tables, built once per group) and the samples are
+gathered on host, the hot multiply-adds and einsums then execute on
+whichever backend was active when the plan was built.
 """
 
 from __future__ import annotations
@@ -227,20 +233,12 @@ class IdealNonuniformSampler:
         )
 
 
-#: Upper bound on ``num_delays * num_times * num_taps`` elements materialised
-#: at once by :meth:`ReconstructionPlan.evaluate_many`.  Larger batches are
-#: processed in chunks along the delay axis: the broadcast temporaries must
-#: stay cache-resident (a few hundred kB each) or the batch becomes
-#: memory-bandwidth-bound and slower than a per-delay loop.
+#: Upper bound on ``num_delays * num_table_rows * (num_taps + 1)`` kernel-table
+#: elements materialised at once by :meth:`ReconstructionPlan.evaluate_many`.
+#: Larger batches are processed in chunks along the delay axis: the broadcast
+#: temporaries must stay cache-resident (a few hundred kB each) or the batch
+#: becomes memory-bandwidth-bound and slower than a per-delay loop.
 _BATCH_ELEMENT_BUDGET = 72_000
-
-#: Upper bound on ``num_scenarios * num_times * num_taps`` elements per
-#: stacked-kernel launch of :func:`evaluate_stacked`.  The scenario axis
-#: batches *dense* grids (one row per scenario of a compiled campaign group),
-#: so the budget trades peak temporary memory against per-launch overhead
-#: rather than cache residency; chunk boundaries do not change results (each
-#: output row is computed independently inside the einsum).
-_STACK_ELEMENT_BUDGET = 4_000_000
 
 #: Sinc arguments smaller than this are evaluated through the Taylor series
 #: ``1 - (pi x)^2 / 6`` instead of the angle-addition quotient, whose absolute
@@ -282,11 +280,13 @@ class _KernelTermCache:
     delay-dependent ``sin(. - phi)/sin(phi)`` quotient expanded through the
     angle-addition identity).  Reconstruction evaluates the term at the two
     argument families ``-v`` (on-grid) and ``v + D`` (delayed channel), where
-    ``v = nT - t`` is fixed by the plan.  All trigonometry of ``v`` is
-    computed here once (on host NumPy — it involves Bessel-adjacent table
-    building that runs once per structure); per candidate delay only scalar
-    sines/cosines of ``D`` remain, broadcast against the cached arrays on the
-    structure's array backend.
+    ``v = nT - t`` is fixed by the plan.  ``v`` is a ``(num_rows, num_taps)``
+    table with one row per sample phase of the grid (see
+    :class:`_PlanStructure`).  All trigonometry of ``v`` is computed here
+    once (on host NumPy — it involves Bessel-adjacent table building that
+    runs once per structure); per candidate delay only scalar sines/cosines
+    of ``D`` remain, broadcast against the cached tables on the structure's
+    array backend.
     """
 
     __slots__ = (
@@ -359,7 +359,7 @@ class _KernelTermCache:
         """Kernel values at ``v + D`` for a column of delays.
 
         ``delay_column`` and ``cot_phi`` have shape ``(m, 1, 1)``; the result
-        broadcasts to ``(m, num_times, num_taps)``.  The on-grid channel has
+        broadcasts to ``(m, num_rows, num_taps)``.  The on-grid channel has
         no array-sized counterpart here: its delay dependence is the scalar
         ``cot_phi`` alone, so plans fold it into precomputed dot products
         (see :attr:`ReconstructionPlan._on_grid_dots`).
@@ -370,7 +370,7 @@ class _KernelTermCache:
         cos_alpha = xp.cos(alpha)
         # cos(osc + alpha) - sin(osc + alpha) * cot_phi, regrouped so the
         # delay-only factors combine as (m, 1, 1) scalars before touching the
-        # (num_times, num_taps) tables.
+        # (num_rows, num_taps) tables.
         on_grid_factor = cos_alpha - cot_phi * sin_alpha
         quadrature_factor = sin_alpha + cot_phi * cos_alpha
         gamma = xp.pi * self.c_env * delay_column
@@ -395,7 +395,7 @@ class _KernelTermCache:
         argument = self.env_argument + self.c_env * delay_column
         # |env + c_env*D| < threshold <=> env falls inside a +-threshold
         # interval around -c_env*D; the sorted table answers that for every
-        # delay without scanning the (m, num_times, num_taps) block.  The
+        # delay without scanning the (m, num_rows, num_taps) block.  The
         # closed-interval searchsorted bounds overcount the open condition,
         # which only means the exact masked path runs when it did not have to.
         targets = -(self.c_env * delay_column).ravel()
@@ -415,15 +415,97 @@ class _KernelTermCache:
         return numerator
 
 
+def _nearest_sample(sample_set: NonuniformSampleSet, times: np.ndarray):
+    """Centre sample index of every instant and its residual in periods.
+
+    ``times[i] = start + (centre[i] + residual[i]) * T`` with
+    ``|residual| <= 1/2``; the residual is the instant's *sample phase*.
+    """
+    position = (times - sample_set.start_time) / sample_set.sample_period
+    centre = np.round(position).astype(np.int64)
+    return centre, position - centre
+
+
+def _phase_tolerance(sample_set: NonuniformSampleSet, times: np.ndarray) -> float:
+    """Largest residual difference that is rounding noise, in sample periods.
+
+    Two instants of one exact sample phase differ in their computed residual
+    only through rounding: each grid time carries up to ~eps * |t| from its
+    own generation (``start + i / rate`` rounds twice), and forming
+    ``(t - start) / T`` rounds twice more, relative to |t| and |start|.
+    Bounding each of those four roundings by ``eps * (|t| + |start|) / T``
+    for both instants gives the factor 8 below.  On the paper grids this is
+    ~7e-13 periods, while the distinct phases of a grid at ``(p/q) * B`` are
+    ``1/p`` apart (2.4e-3 for the 418/9 Welch grid).  Merging rows within it
+    moves an instant by about one ulp of ``t``, the same order as the direct
+    evaluator's own rounding of ``v = nT - t``.
+    """
+    extent = np.max(np.abs(times), initial=0.0) + abs(sample_set.start_time)
+    return 8.0 * np.finfo(float).eps * (extent / sample_set.sample_period + 1.0)
+
+
+def _group_phases(residual: np.ndarray, tolerance: float):
+    """Group instants whose residuals agree to within ``tolerance``.
+
+    Returns ``(phase, first_row)``: the phase index of every instant,
+    numbered in order of first occurrence, and the first instant of each
+    phase (its representative).  Sorted residuals split wherever the gap
+    exceeds the tolerance; a group whose total spread still exceeds it (a
+    chain of near neighbours) is split into single-instant phases.
+    """
+    if residual.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    order = np.argsort(residual, kind="stable")
+    ordered = residual[order]
+    bounds = np.concatenate(
+        ([0], np.flatnonzero(np.diff(ordered) > tolerance) + 1, [residual.size])
+    )
+    sizes = np.diff(bounds)
+    label = np.repeat(np.arange(sizes.size), sizes)
+    spread = ordered[bounds[1:] - 1] - ordered[bounds[:-1]]
+    chained = np.repeat(spread > tolerance, sizes)
+    label = np.where(chained, sizes.size + np.arange(residual.size), label)
+    labels = np.empty_like(label)
+    labels[order] = label
+    _, first_row, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    by_occurrence = np.argsort(first_row)
+    renumber = np.empty_like(by_occurrence)
+    renumber[by_occurrence] = np.arange(by_occurrence.size)
+    return renumber[inverse.ravel()], first_row[by_occurrence]
+
+
+def _gather_windows(samples: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """``width`` consecutive samples from every start of a zero-padded record.
+
+    The record is padded with ``width`` zeros on both sides, so a start
+    ``s`` reads record samples ``s - width .. s - 1``; taps off the record
+    read zeros, which is the validity mask of Eq. (6).
+    """
+    padding = np.zeros(width)
+    padded = np.concatenate((padding, samples, padding))
+    return np.lib.stride_tricks.sliding_window_view(padded, width)[starts]
+
+
 class _PlanStructure:
     """Sample-independent half of a :class:`ReconstructionPlan`.
 
     Everything here depends only on the acquisition *geometry* (start time,
     period, record length, band) and the evaluation grid — not on the sample
-    values or the candidate delay: the tap index matrix, the validity-masked
-    taper and the kernel term trigonometry.  Fingerprint-adjacent campaign
-    scenarios share all of it, which is what :class:`PlanStructureCache`
-    exploits.
+    values or the candidate delay.  Fingerprint-adjacent campaign scenarios
+    share all of it, which is what :class:`PlanStructureCache` exploits.
+
+    The structure is *polyphase*: the taper and kernel trigonometry of an
+    instant depend only on its sample phase (its offset from the nearest
+    on-grid sample), so they are tabulated once per distinct phase — on the
+    phase's first instant, with exactly the per-row arithmetic of the direct
+    evaluator — in ``(num_rows, num_taps + 1)`` tables.  Instants sharing a
+    phase are laid out in blocks of ``rows_per_block`` slots, one block per
+    table row, so a plan contracts its gathered samples against the tables
+    with one dot product per instant and no per-instant trigonometry.  A
+    phase with more instants than one block holds spans several blocks
+    (its table row repeated); ``row_slot`` maps every instant to its slot,
+    or is ``None`` when the slots are the instants in grid order (e.g. every
+    instant its own phase).
     """
 
     __slots__ = (
@@ -431,7 +513,9 @@ class _PlanStructure:
         "num_taps",
         "window",
         "kaiser_beta",
-        "clipped",
+        "num_phases",
+        "rows_per_block",
+        "row_slot",
         "weight",
         "terms",
         "backend",
@@ -449,18 +533,41 @@ class _PlanStructure:
     ) -> None:
         period = sample_set.sample_period
         half = num_taps // 2
-        centre_index = np.round((times - sample_set.start_time) / period).astype(np.int64)
-        offsets = np.arange(-half, half + 1)
-        index_matrix = centre_index[:, None] + offsets[None, :]
-        valid = (index_matrix >= 0) & (index_matrix < len(sample_set))
-        clipped = np.clip(index_matrix, 0, len(sample_set) - 1)
-        grid_times = sample_set.start_time + clipped * period
+        centre, residual = _nearest_sample(sample_set, times)
+        phase, first_row = _group_phases(residual, _phase_tolerance(sample_set, times))
 
-        # v = nT - t: the on-grid kernel argument is -v, the delayed-channel
-        # argument is v + D_hat for any candidate delay D_hat.
-        v = grid_times - times[:, None]
-        taper = evaluate_taper(window, v / (half * period + period), kaiser_beta=kaiser_beta)
-        weight = np.where(valid, taper, 0.0)
+        # Block layout: the block holds either the largest phase (one block
+        # per phase) or an even share of the grid (bounded padding when the
+        # phases are very uneven), whichever leaves fewer unused slots.
+        sizes = np.bincount(phase, minlength=first_row.size)
+        largest = int(sizes.max(initial=1))
+        even_share = max(1, -(-times.size // max(1, sizes.size)))
+        rows_per_block = min(
+            (largest, even_share), key=lambda width: width * int(np.sum(-(-sizes // width)))
+        )
+        blocks = -(-sizes // rows_per_block)
+        block_phase = np.repeat(np.arange(first_row.size), blocks)
+        order = np.argsort(phase, kind="stable")
+        rank = np.arange(times.size) - (np.cumsum(sizes) - sizes)[phase[order]]
+        first_block = (np.cumsum(blocks) - blocks)[phase[order]]
+        row_slot = np.empty(times.size, dtype=np.int64)
+        row_slot[order] = (first_block + rank // rows_per_block) * rows_per_block + (
+            rank % rows_per_block
+        )
+        if blocks.sum() * rows_per_block == times.size and np.array_equal(
+            row_slot, np.arange(times.size)
+        ):
+            row_slot = None
+
+        # v = nT - t on each phase's representative instant: the on-grid
+        # kernel argument is -v, the delayed-channel argument is v + D_hat
+        # for any candidate delay D_hat.
+        representative = first_row[block_phase]
+        offsets = np.arange(-half, half + 1)
+        index_table = centre[representative][:, None] + offsets[None, :]
+        grid_times = sample_set.start_time + index_table * period
+        v = grid_times - times[representative][:, None]
+        weight = evaluate_taper(window, v / (half * period + period), kaiser_beta=kaiser_beta)
 
         band = sample_set.band
         k, k_plus = band_order(band)
@@ -495,14 +602,46 @@ class _PlanStructure:
         self.num_taps = num_taps
         self.window = window
         self.kaiser_beta = kaiser_beta
+        self.num_phases = int(first_row.size)
+        self.rows_per_block = int(rows_per_block)
+        self.row_slot = row_slot
         self.backend = backend
-        self.clipped = backend.asarray(clipped)
         self.weight = backend.asarray(weight)
         for term in terms:
             term.move_to(backend)
         self.terms = tuple(terms)
-        self.num_elements = int(times.size * (num_taps + 1))
+        # Retained footprint: the phase tables (counted once per table
+        # element, as every term table has this shape) plus the per-instant
+        # slot indices.  The centre indices are recomputed from ``times``
+        # when a plan gathers its samples.
+        self.num_elements = int(v.size) + (0 if row_slot is None else times.size)
 
+    @property
+    def num_rows(self) -> int:
+        """Rows of every kernel table (one per block of the layout)."""
+        return int(self.weight.shape[0])
+
+    def window_starts(self, sample_set: NonuniformSampleSet) -> np.ndarray:
+        """Padded-record start of every slot's tap window, ``(rows, block)``.
+
+        Starts index the record zero-padded by ``num_taps + 1`` on each side
+        (see :func:`_gather_windows`); instants whose whole support is off the
+        record, and the unused slots of the last block of a phase, read an
+        all-zero window.
+        """
+        width = self.num_taps + 1
+        centre, _ = _nearest_sample(sample_set, self.times)
+        starts = np.clip(centre - self.num_taps // 2 + width, 0, len(sample_set) + width)
+        if self.row_slot is None:
+            return starts.reshape(self.num_rows, self.rows_per_block)
+        slots = np.zeros(self.num_rows * self.rows_per_block, dtype=np.int64)
+        slots[self.row_slot] = starts
+        return slots.reshape(self.num_rows, self.rows_per_block)
+
+    def to_grid_order(self, values):
+        """Reorder ``(..., rows, block)`` slot values into grid order."""
+        values = values.reshape(values.shape[:-2] + (-1,))
+        return values if self.row_slot is None else values[..., self.row_slot]
 
 def _structure_key(
     sample_set: NonuniformSampleSet,
@@ -540,15 +679,18 @@ class PlanStructureCache:
     One cache is typically threaded through every scenario of a compiled
     campaign group: the first scenario pays for the taper and kernel
     trigonometry of each grid, the rest reuse them.  Eviction is sized in
-    retained grid *elements* (``num_times * (num_taps + 1)``) rather than
-    entry count because dense measurement grids are orders of magnitude
-    larger than calibration grids; the most recent entry is never evicted,
-    so an oversized dense structure still serves the group being executed.
+    retained *elements* (a structure's ``num_elements``: its kernel-table
+    elements ``num_rows * (num_taps + 1)`` plus its per-instant slot
+    indices) rather than entry count, because structures differ in size by
+    orders of magnitude; the most recent entry is never evicted, so an
+    oversized structure still serves the group being executed.
     """
 
-    #: Default retained-element budget: roughly two dense single-carrier
-    #: measurement structures (each structure pins ~16 arrays of
-    #: ``num_elements`` values).
+    #: Default retained-element budget.  Each table element stands for one
+    #: entry in each of ~17 same-shaped term tables.  A paper-default dense
+    #: structure is ~20-40k elements (an LMS grid of 300 unrelated instants
+    #: 18k), so the budget holds every structure of a multi-profile
+    #: campaign.
     DEFAULT_MAX_ELEMENTS = 2_000_000
 
     def __init__(self, max_elements: int = DEFAULT_MAX_ELEMENTS) -> None:
@@ -680,18 +822,26 @@ class ReconstructionPlan:
         self._structure = structure
         self._backend = structure.backend
         xp = self._backend.xp
-        samples_on_grid = self._backend.asarray(sample_set.on_grid)
-        samples_delayed = self._backend.asarray(sample_set.delayed)
-        weighted_on_grid = samples_on_grid[structure.clipped] * structure.weight
-        self._weighted_delayed = samples_delayed[structure.clipped] * structure.weight
+        # Gather every slot's nw + 1 sample pairs once (on host: the gather
+        # reads a zero-padded view of the record) and fold in the taper in
+        # place, so each channel allocates one (num_times, num_taps) array.
+        starts = structure.window_starts(sample_set)
+        width = num_taps + 1
+        taper = self._backend.to_numpy(structure.weight)[:, None, :]
+        weighted_on_grid = _gather_windows(sample_set.on_grid, starts, width)
+        weighted_on_grid *= taper
+        weighted_delayed = _gather_windows(sample_set.delayed, starts, width)
+        weighted_delayed *= taper
+        weighted_on_grid = self._backend.asarray(weighted_on_grid)
+        self._weighted_delayed = self._backend.asarray(weighted_delayed)
         # The on-grid channel's only delay dependence is the scalar cot_phi
         # of each term, so its tap contraction folds into two delay-free dot
         # products per term; evaluating a candidate then reduces the channel
         # to (num_times,)-sized work instead of (num_times, num_taps).
         self._on_grid_dots = tuple(
             (
-                xp.einsum("np,np->n", weighted_on_grid, term.on_grid_cos),
-                xp.einsum("np,np->n", weighted_on_grid, term.on_grid_sin),
+                structure.to_grid_order(xp.einsum("bjk,bk->bj", weighted_on_grid, term.on_grid_cos)),
+                structure.to_grid_order(xp.einsum("bjk,bk->bj", weighted_on_grid, term.on_grid_sin)),
             )
             for term in structure.terms
         )
@@ -773,8 +923,7 @@ class ReconstructionPlan:
             for delay in delays:
                 self._validate_delay(delay)
         result = np.empty((delays.size, self._times.size))
-        per_delay = max(1, self._times.size * (self._num_taps + 1))
-        chunk = max(1, _BATCH_ELEMENT_BUDGET // per_delay)
+        chunk = max(1, _BATCH_ELEMENT_BUDGET // max(1, self._structure.weight.size))
         for start in range(0, delays.size, chunk):
             block = delays[start : start + chunk]
             result[start : start + block.size] = self._evaluate_batch(block)
@@ -795,7 +944,10 @@ class ReconstructionPlan:
             else:
                 on_grid_total += on_grid
                 delayed_total += delayed
-        result = on_grid_total + xp.einsum("np,mnp->mn", self._weighted_delayed, delayed_total)
+        # One dot product per instant: its gathered delayed samples against
+        # its phase's row of the (m, num_rows, num_taps) kernel table.
+        delayed = xp.einsum("bjk,mbk->mbj", self._weighted_delayed, delayed_total)
+        result = on_grid_total + self._structure.to_grid_order(delayed)
         return self._backend.to_numpy(result)
 
     def _validate_delay(self, delay: float) -> float:
@@ -805,17 +957,15 @@ class ReconstructionPlan:
 
 
 def evaluate_stacked(plans, assumed_delays, validate: bool = True) -> np.ndarray:
-    """Evaluate many plans — one delay each — as stacked kernels.
+    """Evaluate many plans — one delay each — into one stacked array.
 
     This is the cross-*scenario* analogue of
     :meth:`ReconstructionPlan.evaluate_many`: where ``evaluate_many`` adds a
     leading *delay* axis over one plan, this adds a leading *scenario* axis
-    over many plans.  Plans sharing one :class:`_PlanStructure` (built
-    through the same :class:`PlanStructureCache` over bitwise-identical
-    grids) evaluate through a single ``einsum("snp,snp->sn")`` launch per
-    chunk; plans with differing structures fall back to the per-plan path.
-    Both paths are bit-identical with calling ``plan.evaluate(delay)`` on
-    each plan individually.
+    over many plans.  Each plan evaluates its own polyphase kernel table (a
+    few hundred rows for a dense grid, so sharing one batched table
+    evaluation across scenarios would save nothing measurable), which makes
+    every row bit-identical with calling ``plan.evaluate(delay)``.
 
     Parameters
     ----------
@@ -856,38 +1006,8 @@ def evaluate_stacked(plans, assumed_delays, validate: bool = True) -> np.ndarray
             plan._validate_delay(delay)
 
     out = np.empty((len(plans), num_times))
-    structure = plans[0]._structure
-    if any(plan._structure is not structure for plan in plans):
-        for index, plan in enumerate(plans):
-            out[index] = plan._evaluate_batch(delays[index : index + 1])[0]
-        return out
-
-    backend = structure.backend
-    xp = backend.xp
-    per_row = max(1, num_times * (structure.num_taps + 1))
-    chunk = max(1, _STACK_ELEMENT_BUDGET // per_row)
-    for start in range(0, len(plans), chunk):
-        rows = plans[start : start + chunk]
-        if len(rows) == 1:
-            out[start] = rows[0]._evaluate_batch(delays[start : start + 1])[0]
-            continue
-        weighted_delayed = xp.stack([plan._weighted_delayed for plan in rows])
-        delay_column = backend.asarray(delays[start : start + len(rows)]).reshape(-1, 1, 1)
-        on_grid_total = None
-        delayed_total = None
-        for index, term in enumerate(structure.terms):
-            cot_phi = term.cot_phi(delay_column)
-            dot_cos = xp.stack([plan._on_grid_dots[index][0] for plan in rows])
-            dot_sin = xp.stack([plan._on_grid_dots[index][1] for plan in rows])
-            on_grid = dot_cos + cot_phi[:, :, 0] * dot_sin
-            delayed = term.delayed_contribution(delay_column, cot_phi)
-            if on_grid_total is None:
-                on_grid_total, delayed_total = on_grid, delayed
-            else:
-                on_grid_total += on_grid
-                delayed_total += delayed
-        block = on_grid_total + xp.einsum("snp,snp->sn", weighted_delayed, delayed_total)
-        out[start : start + len(rows)] = backend.to_numpy(block)
+    for index, plan in enumerate(plans):
+        out[index] = plan._evaluate_batch(delays[index : index + 1])[0]
     return out
 
 
@@ -899,7 +1019,7 @@ class NonuniformReconstructor:
     a plan that is cached (keyed by the grid's contents), so repeated
     evaluation over the same instants reuses all delay-independent state
     instead of rebuilding it; large one-shot grids (dense measurement
-    renders) use throwaway plans so their caches don't accumulate.
+    renders) use throwaway plans so their gathered samples don't accumulate.
 
     Parameters
     ----------
@@ -930,10 +1050,12 @@ class NonuniformReconstructor:
     _PLAN_CACHE_SIZE = 4
 
     #: Grids larger than this (in ``num_times * (num_taps + 1)`` elements)
-    #: are not cached: a plan's trig caches hold ~16 arrays of that size, so
-    #: keeping plans for one-shot dense measurement renders would pin tens of
-    #: MB per grid for no reuse.  Building a throwaway plan costs about one
-    #: direct evaluation, so large grids lose nothing.
+    #: are not cached: a plan holds its gathered, tapered delayed samples at
+    #: that size (~8 MB for a paper-default dense render), so keeping plans
+    #: for one-shot dense measurement renders would pin them for no reuse.
+    #: The expensive trigonometry lives in the polyphase structure (a few
+    #: hundred table rows, shared through a :class:`PlanStructureCache`), so
+    #: a throwaway dense plan costs little more than its sample gather.
     _PLAN_CACHE_MAX_ELEMENTS = 65_536
 
     def __init__(
@@ -1024,9 +1146,9 @@ class NonuniformReconstructor:
 
         Small grids (the repeatedly-swept calibration instants) are cached;
         large one-shot grids (dense measurement renders) get a throwaway plan
-        so their sizeable trig caches are released after use — though with a
+        so their gathered samples are released after use — with a
         :class:`PlanStructureCache` attached even throwaway plans share the
-        expensive structure across scenarios.
+        polyphase kernel tables across scenarios.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if times.size * (self._num_taps + 1) > self._PLAN_CACHE_MAX_ELEMENTS:

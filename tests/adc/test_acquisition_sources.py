@@ -6,6 +6,8 @@ engine-level determinism contract: a BIST run replayed from its own recorded
 captures yields a bit-identical report.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -212,3 +214,57 @@ class TestEngineDeterminism:
             config=FAST,
         )
         assert engine.run().to_dict() == report.to_dict()
+
+
+class TestNonFiniteCapture:
+    """A NaN or inf in a replayed capture is named, not misdiagnosed.
+
+    Before the finiteness check, one NaN travelled through the whole
+    reconstruction and surfaced as a calibration error about forbidden
+    delays; the replay source now rejects the capture with the acquisition
+    number, the channel and the first bad sample index.
+    """
+
+    @pytest.fixture(scope="class")
+    def paper_capture(self):
+        config = BistConfig()
+        recorder = RecordingSource(
+            SimulatedTiadcSource(default_converter(config.acquisition_bandwidth_hz, seed=7))
+        )
+        transmitter = HomodyneTransmitter(TransmitterConfig.paper_default(seed=31))
+        TransmitterBist(transmitter, recorder, config=config).run()
+        return recorder.capture()
+
+    @staticmethod
+    def corrupted(capture, record_index, channel, sample_index, value):
+        records = list(capture.records)
+        samples = np.array(getattr(records[record_index], channel))
+        samples[sample_index] = value
+        records[record_index] = replace(records[record_index], **{channel: samples})
+        return replace(capture, records=tuple(records))
+
+    def run_replay(self, capture):
+        transmitter = HomodyneTransmitter(TransmitterConfig.paper_default(seed=31))
+        engine = TransmitterBist(transmitter, CapturedSamplesSource(capture), config=BistConfig())
+        return engine.run()
+
+    def test_clean_capture_replays(self, paper_capture):
+        assert len(paper_capture) == 2
+        assert self.run_replay(paper_capture).calibration.converged
+
+    def test_nan_and_inf_name_the_first_bad_sample(self, paper_capture):
+        capture = self.corrupted(paper_capture, 0, "on_grid", 37, np.nan)
+        capture = self.corrupted(capture, 0, "on_grid", 90, np.inf)
+        with pytest.raises(
+            ConfigurationError, match=r"acquisition #0: on_grid sample 37 is nan \(2 non-finite"
+        ):
+            self.run_replay(capture)
+
+    def test_bad_slow_acquisition_is_named(self, paper_capture):
+        capture = self.corrupted(paper_capture, 1, "delayed", 11, -np.inf)
+        capture = self.corrupted(capture, 1, "on_grid", 5, np.nan)
+        with pytest.raises(ConfigurationError, match=r"acquisition #1: on_grid sample 5 is nan"):
+            self.run_replay(capture)
+        capture = self.corrupted(paper_capture, 1, "delayed", 11, -np.inf)
+        with pytest.raises(ConfigurationError, match=r"acquisition #1: delayed sample 11 is -inf"):
+            self.run_replay(capture)

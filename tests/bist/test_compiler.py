@@ -17,6 +17,7 @@ from repro.bist import (
     CampaignRunner,
     CampaignScenario,
     CompilerStats,
+    ConverterSpec,
     ScenarioGrid,
     pa_saturation_sweep,
     skew_sweep,
@@ -285,3 +286,25 @@ class TestSharedStructureCache:
         # group: every scenario after the first should hit.
         assert stats["hits"] > 0
         assert stats["entries"] >= 1
+
+    def test_two_profile_campaign_fits_the_default_budget(self):
+        # Polyphase structures retain a few hundred kernel-table rows per
+        # dense grid, so a compiled 2-profile x 3-scenario campaign at the
+        # default configuration keeps every structure it builds.
+        scenarios = [
+            CampaignScenario(
+                profile,
+                label=f"{profile}/skew-{skew_ps}ps",
+                converter=ConverterSpec(channel1_skew_seconds=skew_ps * 1e-12),
+            )
+            for profile in ("paper-qpsk-1ghz", "ofdm-uhf-qpsk-400mhz")
+            for skew_ps in (0, 1, 2)
+        ]
+        execution = CampaignRunner(bist_config=BistConfig(), max_workers=1).run(
+            scenarios, compile=True
+        )
+        assert all(outcome.ok for outcome in execution.outcomes)
+        stats = execution.compiler_stats
+        assert stats.scenarios_batched == 6
+        assert stats.structure_cache["misses"] > 0
+        assert stats.structure_cache["evictions"] == 0
